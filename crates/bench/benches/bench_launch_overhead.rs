@@ -1,8 +1,7 @@
-//! Criterion bench: per-launch dispatch cost of the three execution
-//! engines — persistent pool, legacy spawn-per-launch, and forced
-//! sequential — plus an end-to-end ECL-CC contrast between pool and
-//! spawn. Worker counts are forced to 4 so the numbers compare the
-//! engines, not the host's core count.
+//! Criterion bench: per-launch dispatch cost of the two execution
+//! engines — persistent pool and forced sequential — plus an
+//! end-to-end ECL-CC contrast between them. Worker counts are forced
+//! to 4 so the numbers compare the engines, not the host's core count.
 
 #![allow(clippy::unwrap_used)]
 
@@ -12,12 +11,8 @@ use ecl_gpusim::LaunchConfig;
 
 const WORKERS: usize = 4;
 
-fn policies() -> [(&'static str, DispatchPolicy); 3] {
-    [
-        ("pool", DispatchPolicy::pooled(WORKERS)),
-        ("spawn", DispatchPolicy::spawn_baseline(WORKERS)),
-        ("sequential", DispatchPolicy::sequential()),
-    ]
+fn policies() -> [(&'static str, DispatchPolicy); 2] {
+    [("pool", DispatchPolicy::pooled(WORKERS)), ("sequential", DispatchPolicy::sequential())]
 }
 
 /// A trivial kernel launched repeatedly: almost pure dispatch cost.

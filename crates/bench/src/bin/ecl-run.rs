@@ -42,9 +42,8 @@ struct Args {
     /// `--shards N`: run CC/MIS/SCC sharded across N modeled GPUs
     /// through ecl-shard (1 = ordinary single-pool execution).
     shards: u32,
-    /// `--bench-json <path>`: write a benchmark report instead of a
-    /// single run. With `--shards 1` this is the PR 3 dispatch-engine
-    /// benchmark; with `--shards N > 1` it is the shard scaling curve.
+    /// `--bench-json <path>` (with `--shards N > 1`): write the shard
+    /// scaling curve instead of a single run.
     bench_json: Option<String>,
     /// `--tuned <manifest>`: apply the best-known schedule for
     /// (algo, input family) from an `ecl-tune/1` manifest. Overrides
@@ -120,7 +119,6 @@ fn usage() -> ! {
          \x20                                        profiling artifacts; see the ecl-prof binary)\n\
          \x20      [--shards n]  (run cc|mis|scc across n modeled GPUs via ecl-shard)\n\
          \x20      ecl-run --list    (show registered inputs)\n\
-         \x20      ecl-run --bench-json <path>  (dispatch-engine benchmark: pool vs. spawn)\n\
          \x20      ecl-run --shards n --bench-json <path>  (shard scaling curve, torus + rmat)"
     );
     std::process::exit(2);
@@ -232,41 +230,13 @@ fn parse() -> Args {
         }
         i += 1;
     }
+    if a.bench_json.is_some() && a.shards < 2 {
+        usage();
+    }
     if a.bench_json.is_none() && (a.algo.is_empty() || a.input.is_empty()) {
         usage();
     }
     a
-}
-
-/// `--bench-json <path>`: run the PR 3 dispatch-engine benchmark
-/// (persistent pool vs. legacy spawn-per-launch) and write the
-/// results as JSON.
-fn bench_json(path: &str) {
-    eprintln!("bench: measuring spawn vs. pool dispatch (a few seconds)...");
-    let bench = ecl_bench::dispatch_bench::run();
-    eprintln!(
-        "bench: launch overhead {:.0} ns -> {:.0} ns per launch ({:.1}x)",
-        bench.overhead_ns.spawn,
-        bench.overhead_ns.pool,
-        bench.overhead_ns.speedup()
-    );
-    for e in &bench.end_to_end {
-        eprintln!(
-            "bench: {} on {} ({} vertices, {} arcs): {:.1} ms -> {:.1} ms ({:.2}x)",
-            e.algo,
-            e.graph.name,
-            e.graph.vertices,
-            e.graph.arcs,
-            e.pair.spawn * 1e3,
-            e.pair.pool * 1e3,
-            e.pair.speedup()
-        );
-    }
-    if let Err(e) = std::fs::write(path, bench.to_json()) {
-        eprintln!("bench: failed to write {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("bench: wrote {path}");
 }
 
 /// `--shards N --bench-json <path>`: run the shard scaling benchmark
@@ -300,6 +270,30 @@ fn shard_bench_json(path: &str, max_shards: u32) {
     eprintln!("bench: wrote {path}");
 }
 
+/// Prints the per-kernel modeled-cost table of `collector`, largest
+/// first, like a profiler's kernel table.
+fn print_kernel_table(collector: &ecl_prof::Collector, params: &ecl_gpusim::CostParams) {
+    let mut stats = collector.snapshot();
+    stats.sort_by(|a, b| b.modeled_time(params).total_cmp(&a.modeled_time(params)));
+    let total: f64 = stats.iter().map(|k| k.modeled_time(params)).sum::<f64>().max(1e-12);
+    println!("per-kernel cost breakdown");
+    println!(
+        "  {:<18} {:>6} {:>14} {:>7} {:>10}",
+        "kernel", "calls", "modeled", "share", "wall (s)"
+    );
+    for k in stats {
+        let modeled = k.modeled_time(params);
+        println!(
+            "  {:<18} {:>6} {:>14.0} {:>6.1}% {:>10.4}",
+            k.name,
+            k.launches,
+            modeled,
+            100.0 * modeled / total,
+            k.wall_ns.sum as f64 / 1e9
+        );
+    }
+}
+
 fn print_cost(device: &ecl_gpusim::Device) {
     println!("\nmodeled cost: {:.0} units", device.modeled_time());
     for (kind, units) in device.cost().breakdown() {
@@ -312,11 +306,7 @@ fn print_cost(device: &ecl_gpusim::Device) {
 fn main() {
     let a = parse();
     if let Some(path) = &a.bench_json {
-        if a.shards > 1 {
-            shard_bench_json(path, a.shards);
-        } else {
-            bench_json(path);
-        }
+        shard_bench_json(path, a.shards);
         return;
     }
     let spec = ecl_graphgen::registry::find(&a.input).unwrap_or_else(|| {
@@ -459,10 +449,12 @@ fn run_algo(a: &Args, spec: &ecl_graphgen::InputSpec, device: &ecl_gpusim::Devic
                 cfg.apply_schedule(&s);
             }
             if a.kernels {
-                let ((r, profile), secs) =
-                    ecl_gpusim::run_timed(|| ecl_cc::run_profiled(device, &g, &cfg));
+                let collector = std::sync::Arc::new(ecl_prof::Collector::new());
+                ecl_prof::sink::install(std::sync::Arc::clone(&collector));
+                let (r, secs) = ecl_gpusim::run_timed(|| ecl_cc::run(device, &g, &cfg));
+                ecl_prof::sink::uninstall();
                 println!("\nECL-CC: {} components in {secs:.3}s", r.num_components());
-                print!("{}", profile.render("per-kernel cost breakdown"));
+                print_kernel_table(&collector, device.params());
                 print_cost(device);
                 return;
             }

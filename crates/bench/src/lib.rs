@@ -15,7 +15,6 @@
 //! ratio of input size to thread count, which scaling both preserves.
 
 pub mod check_suite;
-pub mod dispatch_bench;
 pub mod experiments;
 pub mod mc_suite;
 pub mod profile_run;

@@ -6,7 +6,8 @@
 //! verdict and the run compares against it. Clean harnesses must
 //! verify with zero findings (the tentpole harnesses — ticket-claim,
 //! finish-path, the serve reactor's event-ring / wake / handoff
-//! protocols, and the cross-shard mailbox exchange — additionally
+//! protocols, the cross-shard mailbox exchange and the install-once
+//! instrumentation hook — additionally
 //! *exhaustively*, or the entry fails — a
 //! budget cut there means the CI budget no longer covers the
 //! protocol); fixtures must be found and classified under their
@@ -96,6 +97,7 @@ pub fn mc_suite() -> Vec<McSuiteEntry> {
         "serve-reactor-wakeup",
         "serve-reactor-handoff",
         "shard-exchange",
+        "hook",
     ];
     let mut entries: Vec<McSuiteEntry> = harnesses::ALL
         .iter()
@@ -219,6 +221,7 @@ mod tests {
             "serve-reactor-wakeup",
             "serve-reactor-handoff",
             "shard-exchange",
+            "hook",
         ] {
             let entry =
                 mc_suite().into_iter().find(|e| e.name == format!("harness/{name}")).unwrap();

@@ -4,30 +4,18 @@ use ecl_check::CheckedSlice;
 use ecl_gpusim::atomics::atomic_u32_array;
 use ecl_gpusim::{launch_flat_named, CostKind, CountedU32, Device, LaunchConfig};
 use ecl_graph::Csr;
+use ecl_trace::sink::phase_span;
 
 use crate::counters::CcCounters;
 use crate::CcConfig;
 
-/// Runs all three stages and returns the final labels.
+/// Runs all three stages and returns the final labels. Each kernel
+/// runs inside a trace phase of the same name.
 pub fn connected_components(
     device: &Device,
     g: &Csr,
     config: &CcConfig,
     counters: &CcCounters,
-) -> Vec<u32> {
-    connected_components_profiled(device, g, config, counters, None)
-}
-
-/// Like [`connected_components`] but attributing each kernel phase's
-/// cost to `profile` (the §6.1.3 observation that "the init kernel ...
-/// accounts for 10-20% of the total runtime" is checked against this
-/// breakdown).
-pub fn connected_components_profiled(
-    device: &Device,
-    g: &Csr,
-    config: &CcConfig,
-    counters: &CcCounters,
-    profile: Option<&ecl_gpusim::KernelProfile>,
 ) -> Vec<u32> {
     let n = g.num_vertices();
     let nstat = atomic_u32_array(n, |i| i as u32);
@@ -40,30 +28,23 @@ pub fn connected_components_profiled(
         &nstat,
         "monotonic label hooking + pointer jumping: stale reads only delay convergence (§2.1)",
     );
-    let scoped = |name: &str, f: &mut dyn FnMut()| {
-        ecl_trace::sink::phase_span(name, || match profile {
-            Some(p) => p.measure(device, name, f),
-            None => f(),
-        })
-    };
-
-    scoped("init", &mut || init(device, g, config, counters, &nstat));
+    phase_span("init", || init(device, g, config, counters, &nstat));
 
     let (low, medium, high) = partition_by_degree(g, config);
     // Group widths mirror ECL-CC's thread/warp/block specialization:
     // low-degree vertices get one thread, medium a warp-sized group,
     // high a block-sized group cooperating on the adjacency list.
-    scoped("compute-low", &mut || {
+    phase_span("compute-low", || {
         compute(device, "cc.compute-low", g, config, counters, &nstat, &low, 1)
     });
-    scoped("compute-medium", &mut || {
+    phase_span("compute-medium", || {
         compute(device, "cc.compute-medium", g, config, counters, &nstat, &medium, 32)
     });
-    scoped("compute-high", &mut || {
+    phase_span("compute-high", || {
         compute(device, "cc.compute-high", g, config, counters, &nstat, &high, 256)
     });
 
-    scoped("finalize", &mut || finalize(device, g, config, &nstat));
+    phase_span("finalize", || finalize(device, g, config, &nstat));
     nstat.iter().map(|a| a.load()).collect()
 }
 

@@ -131,21 +131,6 @@ pub fn run(device: &Device, g: &Csr, config: &CcConfig) -> CcResult {
     CcResult { labels, counters }
 }
 
-/// Runs ECL-CC with a per-kernel cost breakdown (init / compute bins /
-/// finalize), like a profiler's kernel table.
-pub fn run_profiled(
-    device: &Device,
-    g: &Csr,
-    config: &CcConfig,
-) -> (CcResult, ecl_gpusim::KernelProfile) {
-    assert!(!g.is_directed(), "ECL-CC consumes undirected graphs");
-    let counters = CcCounters::new(config.mode);
-    let profile = ecl_gpusim::KernelProfile::new();
-    let labels =
-        kernels::connected_components_profiled(device, g, config, &counters, Some(&profile));
-    (CcResult { labels, counters }, profile)
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -288,26 +273,6 @@ mod tests {
         let r = run(&device(), &g, &CcConfig::baseline());
         assert_eq!(r.num_components(), 1);
         assert_eq!(r.counters.hook_cas.attempted(), 0);
-    }
-
-    #[test]
-    fn kernel_profile_breakdown() {
-        let g = ecl_graphgen::random::erdos_renyi(2000, 6.0, 7);
-        let (r, profile) = run_profiled(&device(), &g, &CcConfig::baseline());
-        assert_eq!(r.labels, ecl_ref::connected_components(&g));
-        // All five phases recorded; shares sum to ~1.
-        let names: Vec<String> = profile.records().iter().map(|r| r.name.clone()).collect();
-        for phase in ["init", "compute-low", "compute-medium", "compute-high", "finalize"] {
-            assert!(names.iter().any(|n| n == phase), "missing phase {phase}");
-        }
-        let share_sum: f64 = ["init", "compute-low", "compute-medium", "compute-high", "finalize"]
-            .iter()
-            .map(|p| profile.fraction(p))
-            .sum();
-        assert!((share_sum - 1.0).abs() < 1e-9, "shares sum to {share_sum}");
-        // The §6.1.3 ballpark: init is a real but minority share.
-        let init = profile.fraction("init");
-        assert!((0.01..0.7).contains(&init), "init share {init} outside the plausible band");
     }
 
     #[test]

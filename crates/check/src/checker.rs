@@ -474,7 +474,7 @@ impl CheckSession {
         let guard = SESSION_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let shared = Arc::new(CheckerShared::new(check::device_id(device), config));
         *ACTIVE.lock().unwrap_or_else(|e| e.into_inner()) = Some(Arc::clone(&shared));
-        check::install(shared.clone());
+        check::SINK.install(shared.clone());
         Self { shared, guard: Some(guard) }
     }
 
@@ -485,8 +485,11 @@ impl CheckSession {
     }
 
     fn teardown(&mut self) {
-        if self.guard.take().is_some() {
-            check::uninstall();
+        // Hold the session lock until the sink is gone: released any
+        // earlier, the next session could install its sink first and
+        // have it removed here.
+        if let Some(_session) = self.guard.take() {
+            check::SINK.uninstall();
             *ACTIVE.lock().unwrap_or_else(|e| e.into_inner()) = None;
         }
     }

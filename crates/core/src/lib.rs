@@ -30,6 +30,8 @@ pub mod atomics;
 pub mod chart;
 pub mod counter;
 pub mod histogram;
+pub mod hook;
+pub mod json;
 pub mod metrics;
 pub mod registry;
 pub mod runs;
@@ -42,6 +44,7 @@ pub mod trace;
 pub use atomics::{AtomicOutcome, AtomicTally};
 pub use counter::{GlobalCounter, PerThreadCounter, ProfileMode};
 pub use histogram::Histogram;
+pub use hook::Hook;
 pub use metrics::{imbalance_from_summary, ActivityTally, LoadBalance};
 pub use registry::{CounterHandle, Registry, Snapshot};
 pub use runs::MultiRun;

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use ecl_check::Rule;
 
-use crate::harnesses::{drain, finish_path, reactor_handoff, reactor_wakeup, shard_exchange};
+use crate::harnesses::{drain, finish_path, hook, reactor_handoff, reactor_wakeup, shard_exchange};
 use crate::shim::atomic::McAtomicU64;
 use crate::shim::cell::McCell;
 use crate::shim::sync::McMutex;
@@ -85,6 +85,12 @@ pub const ALL: &[FixtureEntry] = &[
         about: "shard votes idle before applying its inbox: fixpoint with mail in flight",
         run: shard_idle_before_apply,
         expect: Rule::McAssertion,
+    },
+    FixtureEntry {
+        name: "hook-free-on-uninstall",
+        about: "hook uninstall frees the value instead of retiring it: reader races the free",
+        run: hook_free_on_uninstall,
+        expect: Rule::McRace,
     },
 ];
 
@@ -196,4 +202,11 @@ pub fn lock_order_inversion() {
     };
     t1.join();
     t2.join();
+}
+
+/// The install-once hook with retirement removed: uninstall frees the
+/// value, so a reader that loaded its address just before reads freed
+/// memory — a data race with the free.
+pub fn hook_free_on_uninstall() {
+    hook(true);
 }

@@ -88,6 +88,11 @@ pub const ALL: &[HarnessEntry] = &[
         about: "cross-shard mailbox publish + quiescence vote: fixpoint only after delivery",
         run: shard_exchange_clean,
     },
+    HarnessEntry {
+        name: "hook",
+        about: "install-once hook: values published with Release, retired not freed",
+        run: hook_clean,
+    },
 ];
 
 /// Looks up a harness by name.
@@ -715,4 +720,62 @@ pub fn shard_exchange(publish_release: bool, apply_before_idle: bool) {
 /// The clean exchange (released publish, apply before the idle vote).
 pub fn shard_exchange_clean() {
     shard_exchange(true, true);
+}
+
+/// The install-once instrumentation hook (`ecl_profiling::Hook`): an
+/// installer builds a value, publishes its address with a `Release`
+/// store (the release half of the production swap), replaces it with
+/// a second value and finally uninstalls,
+/// while a reader loads the address with `Acquire` and reads whatever
+/// value it finds — the trace sink, launch observers and checker hooks
+/// all read this way, lock-free. Values are [`McCell`]s, so a reader
+/// that can reach a value without a happens-before edge from its
+/// construction, or concurrently with its destruction, is a data race.
+///
+/// `free_on_uninstall = true` frees (writes over) the last value when
+/// it is uninstalled instead of retiring it: a reader that loaded the
+/// address just before the uninstall then reads freed memory.
+pub fn hook(free_on_uninstall: bool) {
+    let values: Arc<Vec<McCell<u64>>> =
+        Arc::new((0..2).map(|i| McCell::new(&format!("hook.value[{i}]"), 0)).collect());
+    // The published address: 0 = nothing installed, i + 1 = value i.
+    let ptr = Arc::new(McAtomicUsize::new("hook.ptr", 0));
+
+    let installer = {
+        let values = Arc::clone(&values);
+        let ptr = Arc::clone(&ptr);
+        thread::spawn("installer", move || {
+            for (i, v) in [11u64, 22].into_iter().enumerate() {
+                values[i].write(v);
+                // Install; the replaced value is retired, never freed.
+                ptr.store(i + 1, Ordering::Release);
+            }
+            ptr.store(0, Ordering::Release);
+            if free_on_uninstall {
+                values[1].write(0); // defect: frees instead of retiring
+            }
+        })
+    };
+
+    let reader = {
+        let values = Arc::clone(&values);
+        let ptr = Arc::clone(&ptr);
+        thread::spawn("reader", move || {
+            for _ in 0..2 {
+                let p = ptr.load(Ordering::Acquire);
+                if p != 0 {
+                    let v = values[p - 1].read();
+                    assert!(v == 11 || v == 22, "reader saw an unbuilt value {v}");
+                }
+            }
+        })
+    };
+
+    installer.join();
+    reader.join();
+}
+
+/// The clean hook (replaced and uninstalled values retired).
+pub fn hook_clean() {
+    hook(false);
 }

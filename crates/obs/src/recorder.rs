@@ -17,7 +17,7 @@
 //!    entries, evicting the least-slow). Postmortems of outliers need
 //!    no pre-enabled tracing: the black box already has them.
 //!
-//! Kernel spans arrive via the sink's launch hook while the request is
+//! Kernel spans arrive via the sink's launch observer while the request is
 //! in flight; per-request span counts are capped
 //! ([`RecorderConfig::max_kernels`]) with explicit drop accounting, so
 //! a pathological million-launch job cannot balloon the recorder.
@@ -26,7 +26,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use ecl_prof::LaunchSample;
+use ecl_gpusim::LaunchSample;
 
 /// Sizing and thresholds of the recorder. All bounds are hard.
 #[derive(Clone, Copy, Debug)]
@@ -407,6 +407,7 @@ mod tests {
             workers: Vec::new(),
             req: 7,
             shard: 0,
+            cost: Default::default(),
         }
     }
 

@@ -1,18 +1,17 @@
-//! The global observability sink: the zero-cost-when-disabled hook
-//! that routes request-attributed launch samples into the installed
-//! [`Obs`] (flight recorder + SLO engine).
+//! The global observability sink: the installed [`Obs`] (flight
+//! recorder + SLO engine), attached to the simulator's launch fan-out
+//! ([`ecl_gpusim::observe`]) so request-attributed launches land in
+//! the recorder.
 //!
-//! Mirrors `ecl_trace::sink` / `ecl_prof::sink` exactly: the hot-path
-//! guard is one relaxed `AtomicBool` load; the installed handle is
-//! published as a raw pointer backed by an `Arc` that is retired (kept
-//! alive forever) instead of dropped, so a racing hook can never
-//! dereference a freed `Obs`. A process installs a handful of handles
-//! at most, so the intentional leak is bounded and tiny.
+//! The handle lives in an [`ecl_profiling::Hook`]: with nothing
+//! installed, a launch pays one relaxed load for it; with an `Obs`
+//! installed, only launches issued inside a request context
+//! ([`ecl_gpusim::ctx`]) are sampled.
 
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use ecl_prof::LaunchSample;
+use ecl_gpusim::{observe, LaunchObserver, LaunchSample};
+use ecl_profiling::Hook;
 
 use crate::recorder::{FlightRecorder, RecorderConfig};
 use crate::slo::SloEngine;
@@ -34,134 +33,82 @@ impl Obs {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static PTR: AtomicPtr<Obs> = AtomicPtr::new(std::ptr::null_mut());
-static CURRENT: Mutex<SinkState> = Mutex::new(SinkState { current: None, retired: Vec::new() });
+impl LaunchObserver for Obs {
+    /// Only launches working for a request are worth a sample.
+    fn wants_launch(&self) -> bool {
+        ecl_gpusim::ctx::current() != 0
+    }
 
-struct SinkState {
-    current: Option<Arc<Obs>>,
-    /// Arcs kept alive forever so racing hooks never dereference a
-    /// freed `Obs`. Bounded by `install` calls.
-    retired: Vec<Arc<Obs>>,
+    /// Routes one request-attributed launch sample into the flight
+    /// recorder. Samples with `req == 0` (no request context) are
+    /// skipped.
+    fn on_launch(&self, sample: &LaunchSample) {
+        if sample.req != 0 {
+            self.recorder.on_launch(sample.req, sample);
+        }
+    }
 }
 
-fn state() -> std::sync::MutexGuard<'static, SinkState> {
-    CURRENT.lock().unwrap_or_else(|e| e.into_inner())
-}
+static SINK: Hook<Obs> = Hook::new();
 
 /// Installs `obs` as the global sink and enables attribution.
 pub fn install(obs: Arc<Obs>) {
-    let mut st = state();
-    ENABLED.store(false, Ordering::SeqCst);
-    if let Some(old) = st.current.take() {
-        st.retired.push(old);
-    }
-    PTR.store(Arc::as_ptr(&obs) as *mut Obs, Ordering::SeqCst);
-    st.current = Some(obs);
-    ENABLED.store(true, Ordering::SeqCst);
+    observe::attach(&SINK, obs);
 }
 
 /// Disables attribution and detaches the handle, returning it.
-/// Storage stays alive (retired) in case another thread is mid-hook.
 pub fn uninstall() -> Option<Arc<Obs>> {
-    let mut st = state();
-    ENABLED.store(false, Ordering::SeqCst);
-    PTR.store(std::ptr::null_mut(), Ordering::SeqCst);
-    let obs = st.current.take()?;
-    st.retired.push(Arc::clone(&obs));
-    Some(obs)
+    SINK.uninstall()
 }
 
-/// Whether an `Obs` is installed — the hot-path guard the launch
-/// layer reads once per launch.
+/// Whether an `Obs` is installed — one relaxed load.
 #[inline(always)]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Whether the launch layer should build a sample for the obs sink:
-/// installed *and* the calling thread is working for a request.
-#[inline(always)]
-pub fn wants_samples() -> bool {
-    is_enabled() && crate::ctx::current() != 0
+    SINK.is_enabled()
 }
 
 /// The installed handle, if any.
 pub fn current() -> Option<Arc<Obs>> {
-    state().current.clone()
+    SINK.current()
 }
 
 /// Runs `f` against the installed `Obs`, if any.
 #[inline]
 pub fn with<R>(f: impl FnOnce(&Obs) -> R) -> Option<R> {
-    if !is_enabled() {
-        return None;
-    }
-    let ptr = PTR.load(Ordering::Acquire);
-    if ptr.is_null() {
-        return None;
-    }
-    // SAFETY: `ptr` came from an Arc that install/uninstall retire
-    // instead of dropping, so the Obs outlives every reader.
-    Some(f(unsafe { &*ptr }))
-}
-
-/// Routes one request-attributed launch sample into the flight
-/// recorder. Samples with `req == 0` (no request context) are skipped.
-pub fn on_launch(sample: &LaunchSample) {
-    if sample.req == 0 {
-        return;
-    }
-    with(|obs| obs.recorder.on_launch(sample.req, sample));
+    SINK.with(f)
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use ecl_gpusim::ctx::CtxGuard;
+    use ecl_gpusim::{launch_flat_named, Device, LaunchConfig};
 
-    fn sample(req: u64) -> LaunchSample {
-        LaunchSample {
-            kernel: "k".into(),
-            shape: "flat",
-            blocks: 2,
-            block_size: 32,
-            wall_ns: 10,
-            workers: Vec::new(),
-            req,
-            shard: 0,
-        }
-    }
-
-    // The sink is process-global, so its tests share one #[test] body
-    // to avoid cross-test interference under the parallel test runner.
+    // The sink is process-global: one #[test] body.
     #[test]
-    fn sink_lifecycle() {
-        assert!(!is_enabled());
-        on_launch(&sample(1)); // no sink: no-op
-
+    fn routes_request_launches_to_the_recorder() {
+        let d = Device::test_small();
+        let launch = |req: u64| {
+            let _g = CtxGuard::enter(req);
+            launch_flat_named(&d, "k", LaunchConfig::new(2, 32), |_| {});
+        };
         let obs = Arc::new(Obs::new(RecorderConfig::default(), None));
         install(Arc::clone(&obs));
-        assert!(is_enabled());
-        // wants_samples needs a request context too.
-        assert!(!wants_samples());
+        // Only launches inside a request context are wanted.
+        assert!(!obs.wants_launch());
         {
-            let _g = crate::ctx::CtxGuard::enter(5);
-            assert!(wants_samples());
+            let _g = CtxGuard::enter(5);
+            assert!(obs.wants_launch());
         }
 
         obs.recorder.begin(5, 1, "cc", "g");
-        on_launch(&sample(5));
-        on_launch(&sample(0)); // no request: skipped
-        on_launch(&sample(6)); // not in flight: dropped by the recorder
+        launch(5);
+        launch(0); // no request: not sampled
+        launch(6); // not in flight: dropped by the recorder
         let s =
             obs.recorder.finish(5, 1, "cc", "g", crate::recorder::FinishInfo::default()).unwrap();
         assert_eq!(s.kernels, 1);
-
-        let back = uninstall().expect("installed");
-        assert!(!is_enabled());
-        assert!(Arc::ptr_eq(&back, &obs));
-        on_launch(&sample(5)); // detached: no-op
-        assert!(with(|_| ()).is_none());
+        uninstall();
     }
 }

@@ -2,9 +2,8 @@
 
 use std::sync::Mutex;
 
+use ecl_gpusim::{CostKind, CostParams, LaunchObserver, LaunchSample};
 use ecl_profiling::{LogSketch, SketchSnapshot};
-
-use crate::sample::LaunchSample;
 
 /// Running aggregate for one kernel name.
 #[derive(Debug)]
@@ -24,6 +23,7 @@ struct KernelAgg {
     span_ns_total: u64,
     claim_wait_ns_total: u64,
     claims_total: u64,
+    cost: [u64; CostKind::COUNT],
 }
 
 /// Immutable per-kernel statistics for export.
@@ -53,6 +53,17 @@ pub struct KernelStats {
     pub claim_wait_ns: u64,
     /// Ticket claims across all launches.
     pub claims: u64,
+    /// Cost units charged during the launches, indexed like
+    /// [`CostKind::ALL`]. In-memory only: manifests and the Prometheus
+    /// exposition do not carry it.
+    pub cost: [u64; CostKind::COUNT],
+}
+
+impl KernelStats {
+    /// Modeled time of the launches under `params`.
+    pub fn modeled_time(&self, params: &CostParams) -> f64 {
+        params.modeled(&self.cost)
+    }
 }
 
 /// Thread-safe collector of launch samples, grouped by (kernel name,
@@ -93,6 +104,7 @@ impl Collector {
                         span_ns_total: 0,
                         claim_wait_ns_total: 0,
                         claims_total: 0,
+                        cost: [0; CostKind::COUNT],
                     });
                     kernels.last_mut().expect("just pushed")
                 }
@@ -108,6 +120,9 @@ impl Collector {
         agg.span_ns_total += span;
         agg.claim_wait_ns_total += sample.claim_wait_ns();
         agg.claims_total += sample.claims();
+        for (acc, units) in agg.cost.iter_mut().zip(sample.cost) {
+            *acc += units;
+        }
     }
 
     /// Total launches recorded.
@@ -137,8 +152,15 @@ impl Collector {
                 },
                 claim_wait_ns: k.claim_wait_ns_total,
                 claims: k.claims_total,
+                cost: k.cost,
             })
             .collect()
+    }
+}
+
+impl LaunchObserver for Collector {
+    fn on_launch(&self, sample: &LaunchSample) {
+        self.record(sample);
     }
 }
 
@@ -146,7 +168,7 @@ impl Collector {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::sample::WorkerStat;
+    use ecl_gpusim::WorkerStat;
 
     fn sample(kernel: &str, wall_ns: u64, busy: &[u64]) -> LaunchSample {
         LaunchSample {
@@ -161,6 +183,7 @@ mod tests {
                 .collect(),
             req: 0,
             shard: 0,
+            cost: [1, 0, 0, 0, 1, 0],
         }
     }
 
@@ -175,6 +198,12 @@ mod tests {
         assert_eq!(snap[0].name, "init");
         assert_eq!(snap[0].launches, 2);
         assert_eq!(snap[0].blocks, 8);
+        assert_eq!(snap[0].cost, [2, 0, 0, 0, 2, 0], "cost units sum over launches");
+        let params = CostParams::default();
+        assert_eq!(
+            snap[0].modeled_time(&params),
+            2.0 * params.thread_work + 2.0 * params.kernel_launch
+        );
         assert_eq!(snap[1].name, "compute");
         assert_eq!(c.launches(), 3);
     }

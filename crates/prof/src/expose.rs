@@ -175,6 +175,7 @@ mod tests {
                 utilization: 0.75,
                 claim_wait_ns: 999,
                 claims: 12,
+                cost: Default::default(),
             }],
             distributions: vec![("mis/iterations".into(), sketch.snapshot())],
         }

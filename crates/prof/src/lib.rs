@@ -7,15 +7,13 @@
 //!
 //! The pieces:
 //!
-//! - [`sample::LaunchSample`] — one kernel launch as observed by the
-//!   hooks in `ecl-gpusim`'s launch/pool layer: wall time, grid
-//!   geometry, and per-participant block/claim/busy stats.
-//! - [`sink`] — the global zero-cost-when-disabled hook the simulator
-//!   reports into, mirroring `ecl_trace::sink`: the disabled path is
-//!   one relaxed atomic load per *launch*.
-//! - [`collector::Collector`] — aggregates samples per kernel into
-//!   [`ecl_profiling::LogSketch`] percentile sketches of wall time
-//!   and load imbalance, plus utilization and claim-wait totals.
+//! - [`sink`] — installs a [`Collector`] as a launch observer of
+//!   `ecl-gpusim` through the shared [`ecl_profiling::Hook`]: the
+//!   disabled path is one relaxed atomic load per *launch*.
+//! - [`collector::Collector`] — aggregates [`LaunchSample`]s per
+//!   kernel into [`ecl_profiling::LogSketch`] percentile sketches of
+//!   wall time and load imbalance, plus utilization, claim-wait and
+//!   cost-unit totals.
 //! - [`manifest::Manifest`] — the versioned (`ecl-prof/1`) JSON run
 //!   manifest: git SHA, dispatch policy, gateable metric sample
 //!   vectors, kernel stats, counter distributions.
@@ -34,14 +32,14 @@ pub mod collector;
 pub mod expose;
 pub mod folded;
 pub mod gate;
-pub mod json;
 pub mod manifest;
-pub mod sample;
 pub mod sink;
+
+pub use ecl_gpusim::{LaunchSample, WorkerStat};
+pub use ecl_profiling::json;
 
 pub use collector::{Collector, KernelStats};
 pub use expose::to_prometheus;
 pub use folded::{folded_to_svg, to_folded};
 pub use gate::{gate_files, GateConfig, GateReport, Status};
 pub use manifest::{git_sha, Direction, DispatchInfo, Manifest, Metric, SCHEMA};
-pub use sample::{LaunchSample, WorkerStat};

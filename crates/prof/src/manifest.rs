@@ -300,6 +300,7 @@ impl Manifest {
                     claim_wait_ns: k.get("claim_wait_ns").and_then(Value::as_f64).unwrap_or(0.0)
                         as u64,
                     claims: k.get("claims").and_then(Value::as_f64).unwrap_or(0.0) as u64,
+                    cost: Default::default(),
                 })
             })
             .collect();
@@ -356,6 +357,7 @@ mod tests {
                 utilization: 0.82,
                 claim_wait_ns: 123,
                 claims: 20,
+                cost: Default::default(),
             }],
             distributions: vec![("cc/traverse_len".into(), sketch.snapshot())],
         }

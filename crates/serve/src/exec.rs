@@ -96,7 +96,7 @@ pub fn execute(spec: &JobSpec, catalog: &Arc<GraphCatalog>) -> Result<RunOutput,
     // Request-scoped phase: a cold resolve (generate + materialize) can
     // dominate a request's run time; the flight recorder shows it as a
     // distinct span instead of unexplained non-kernel time.
-    let req = ecl_obs::ctx::current();
+    let req = ecl_gpusim::ctx::current();
     if req != 0 {
         let resolve_ns = resolve_start.elapsed().as_nanos() as u64;
         ecl_obs::sink::with(|obs| obs.recorder.on_phase(req, "graph.resolve", resolve_ns));

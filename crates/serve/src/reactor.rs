@@ -276,7 +276,7 @@ impl Reactor {
                             // complete request exists, echoed back via
                             // `x-ecl-req`, and threaded through the
                             // scheduler so traces/samples carry it.
-                            let req_id = ecl_obs::next_req_id();
+                            let req_id = ecl_gpusim::ctx::next_req_id();
                             slot.conn.set_req_id(req_id);
                             self.handle_request(id, &req, now, req_id);
                         }

@@ -332,7 +332,7 @@ fn run_one(shared: &Shared, job: &Arc<JobRecord>) {
     // below this point (including from the simulator's worker threads,
     // which inherit the context through the pool's job records) carries
     // the originating request id. Jobs without one skip all of it.
-    let _ctx = (job.req != 0).then(|| ecl_obs::ctx::CtxGuard::enter(job.req));
+    let _ctx = (job.req != 0).then(|| ecl_gpusim::ctx::CtxGuard::enter(job.req));
     if job.req != 0 {
         ecl_obs::sink::with(|obs| {
             obs.recorder.begin(job.req, job.id, job.spec.algo.name(), &job.spec.graph);

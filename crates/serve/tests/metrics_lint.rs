@@ -39,6 +39,7 @@ fn full_rendering() -> String {
         workers: vec![ecl_prof::WorkerStat { blocks: 64, claims: 64, busy_ns: 9_000 }],
         req: 7,
         shard: 0,
+        cost: Default::default(),
     });
 
     let slo = ecl_obs::SloEngine::from_spec("cc:p99=5ms,err=1%").expect("valid spec");

@@ -50,6 +50,9 @@ impl CostKind {
         }
     }
 
+    /// Number of kinds.
+    pub const COUNT: usize = NUM_KINDS;
+
     /// All kinds, index-ordered.
     pub const ALL: [CostKind; NUM_KINDS] = [
         CostKind::ThreadWork,
@@ -108,6 +111,12 @@ impl CostParams {
             CostKind::HostReconfig => self.host_reconfig,
         }
     }
+
+    /// Weighted abstract time of `units` (indexed like
+    /// [`CostKind::ALL`]).
+    pub fn modeled(&self, units: &[u64; NUM_KINDS]) -> f64 {
+        CostKind::ALL.iter().zip(units).map(|(&k, &u)| u as f64 * self.weight(k)).sum()
+    }
 }
 
 /// Thread-safe per-category unit tallies.
@@ -140,7 +149,12 @@ impl CostTally {
 
     /// Weighted abstract time under `params`.
     pub fn modeled_time(&self, params: &CostParams) -> f64 {
-        CostKind::ALL.iter().map(|&k| self.units(k) as f64 * params.weight(k)).sum()
+        params.modeled(&self.snapshot())
+    }
+
+    /// All categories' units, indexed like [`CostKind::ALL`].
+    pub fn snapshot(&self) -> [u64; NUM_KINDS] {
+        CostKind::ALL.map(|k| self.units(k))
     }
 
     /// Copies the tally out as `(kind, units)` pairs.

@@ -25,81 +25,63 @@
 //! block-scheduling contract — so kernels must not spin-wait on other
 //! blocks.
 
+use std::time::Instant;
+
 use ecl_trace::{sink, EventKind};
 
 use crate::check::{self, Agent, LaunchShape};
 use crate::cost::CostKind;
 use crate::device::Device;
+use crate::observe::{self, LaunchSample};
 use crate::pool;
 
-/// Emits the kernel-launch trace event (payload = grid size). One
-/// relaxed load when tracing is disabled.
-#[inline]
-fn trace_launch(cfg: LaunchConfig) {
-    sink::emit(EventKind::KernelLaunch, u32::MAX, 0, cfg.blocks.min(u32::MAX as usize) as u32);
-}
-
-/// Runs `body` between block-start / block-end trace events.
-#[inline]
-fn trace_block<R>(block: usize, block_size: usize, body: impl FnOnce() -> R) -> R {
-    sink::emit(EventKind::BlockStart, block as u32, 0, block_size as u32);
-    let r = body();
-    sink::emit(EventKind::BlockEnd, block as u32, 0, block_size as u32);
-    r
-}
-
-/// Dispatches a launch's blocks onto the pool, reporting a per-launch
-/// profile sample when `ecl-prof`'s sink is installed and/or the
-/// launch runs inside a request context with `ecl-obs` installed. The
-/// disabled path is the plain [`pool::dispatch`] plus two relaxed
-/// atomic loads.
-fn dispatch_blocks<F>(name: &str, shape: &'static str, cfg: LaunchConfig, f: F)
+/// The one launch body every shape runs through: charges the launch,
+/// emits the launch and block trace events, brackets the grid with the
+/// checker's begin/end, and dispatches `block(index, tracked)` for
+/// each block onto the pool. When an attached observer wants the
+/// launch, the dispatch is timed, the device's cost tally is
+/// snapshotted before the `KernelLaunch` charge and after the blocks
+/// join, and the observers get one [`LaunchSample`]. The unobserved
+/// path is the plain [`pool::dispatch`] plus one relaxed load.
+fn launch<F>(device: &Device, name: &str, shape: LaunchShape, cfg: LaunchConfig, block: F)
 where
-    F: Fn(usize) + Sync,
+    F: Fn(usize, bool) + Sync,
 {
-    let prof = ecl_prof::sink::is_enabled();
-    let obs = ecl_obs::sink::wants_samples();
-    if !prof && !obs {
-        pool::dispatch(cfg.blocks, f);
-        return;
-    }
-    let started = std::time::Instant::now();
-    let participants = pool::dispatch_profiled(cfg.blocks, f);
-    let wall_ns = started.elapsed().as_nanos() as u64;
-    let sample = ecl_prof::LaunchSample {
-        kernel: name.to_string(),
-        shape,
-        blocks: cfg.blocks as u64,
-        block_size: cfg.block_size as u64,
-        wall_ns,
-        workers: participants
-            .into_iter()
-            .map(|p| ecl_prof::WorkerStat {
-                blocks: p.blocks,
-                claims: p.claims,
-                busy_ns: p.busy_ns,
-            })
-            .collect(),
-        req: ecl_obs::ctx::current(),
-        shard: crate::shard::current(),
+    let cost_before = observe::wants_launch().then(|| device.cost().snapshot());
+    device.charge(CostKind::KernelLaunch, 1);
+    sink::emit(EventKind::KernelLaunch, u32::MAX, 0, cfg.blocks.min(u32::MAX as usize) as u32);
+    let tracked = check::launch_begin(device, name, shape, cfg);
+    let run = |b: usize| {
+        let _agents = check::AgentScope::enter();
+        sink::emit(EventKind::BlockStart, b as u32, 0, cfg.block_size as u32);
+        block(b, tracked);
+        if tracked {
+            check::set_agent(None);
+            check::block_end(b as u32, cfg.block_size);
+        }
+        sink::emit(EventKind::BlockEnd, b as u32, 0, cfg.block_size as u32);
     };
-    if prof {
-        ecl_prof::sink::on_launch(&sample);
+    match cost_before {
+        None => pool::dispatch(cfg.blocks, run),
+        Some(before) => {
+            let started = Instant::now();
+            let workers = pool::dispatch_profiled(cfg.blocks, run);
+            let wall_ns = started.elapsed().as_nanos() as u64;
+            let after = device.cost().snapshot();
+            observe::notify(&LaunchSample {
+                kernel: name.to_string(),
+                shape: shape.name(),
+                blocks: cfg.blocks as u64,
+                block_size: cfg.block_size as u64,
+                wall_ns,
+                workers,
+                req: crate::ctx::current(),
+                shard: crate::shard::current(),
+                cost: std::array::from_fn(|k| after[k] - before[k]),
+            });
+        }
     }
-    if obs {
-        ecl_obs::sink::on_launch(&sample);
-    }
-}
-
-/// The stable shape label a [`LaunchShape`] reports in profile
-/// samples.
-fn shape_label(shape: LaunchShape) -> &'static str {
-    match shape {
-        LaunchShape::Flat => "flat",
-        LaunchShape::Persistent => "persistent",
-        LaunchShape::Blocks => "blocks",
-        LaunchShape::Warps => "warps",
-    }
+    check::launch_end(device, tracked);
 }
 
 /// Grid dimensions of one launch.
@@ -150,25 +132,14 @@ fn run_flat<F>(device: &Device, name: &str, shape: LaunchShape, cfg: LaunchConfi
 where
     F: Fn(ThreadCtx) + Sync,
 {
-    device.charge(CostKind::KernelLaunch, 1);
-    trace_launch(cfg);
-    let tracked = check::launch_begin(device, name, shape, cfg);
-    dispatch_blocks(name, shape_label(shape), cfg, |block| {
-        let _agents = check::AgentScope::enter();
-        trace_block(block, cfg.block_size, || {
-            for lane in 0..cfg.block_size {
-                if tracked {
-                    check::set_agent(Some(Agent::thread(block as u32, lane as u32)));
-                }
-                f(ThreadCtx { global: block * cfg.block_size + lane, block, lane });
-            }
+    launch(device, name, shape, cfg, |block, tracked| {
+        for lane in 0..cfg.block_size {
             if tracked {
-                check::set_agent(None);
-                check::block_end(block as u32, cfg.block_size);
+                check::set_agent(Some(Agent::thread(block as u32, lane as u32)));
             }
-        });
+            f(ThreadCtx { global: block * cfg.block_size + lane, block, lane });
+        }
     });
-    check::launch_end(device, tracked);
 }
 
 /// Launches `cfg.blocks × cfg.block_size` threads; `f` runs once per
@@ -275,23 +246,12 @@ pub fn launch_blocks_named<F>(device: &Device, name: &str, cfg: LaunchConfig, f:
 where
     F: Fn(BlockCtx<'_>) + Sync,
 {
-    device.charge(CostKind::KernelLaunch, 1);
-    trace_launch(cfg);
-    let tracked = check::launch_begin(device, name, LaunchShape::Blocks, cfg);
-    dispatch_blocks(name, "blocks", cfg, |block| {
-        let _agents = check::AgentScope::enter();
-        trace_block(block, cfg.block_size, || {
-            if tracked {
-                check::set_agent(Some(Agent::block_wide(block as u32)));
-            }
-            f(BlockCtx { block, block_size: cfg.block_size, device });
-            if tracked {
-                check::set_agent(None);
-                check::block_end(block as u32, cfg.block_size);
-            }
-        });
+    launch(device, name, LaunchShape::Blocks, cfg, |block, tracked| {
+        if tracked {
+            check::set_agent(Some(Agent::block_wide(block as u32)));
+        }
+        f(BlockCtx { block, block_size: cfg.block_size, device });
     });
-    check::launch_end(device, tracked);
 }
 
 /// One warp of a warp-synchronous launch.
@@ -341,37 +301,26 @@ pub fn launch_warps_named<F>(device: &Device, name: &str, cfg: LaunchConfig, f: 
 where
     F: Fn(WarpCtx) + Sync,
 {
-    device.charge(CostKind::KernelLaunch, 1);
-    trace_launch(cfg);
-    let tracked = check::launch_begin(device, name, LaunchShape::Warps, cfg);
     let warp_size = device.config().warp_size.max(1);
-    dispatch_blocks(name, "warps", cfg, |block| {
-        let _agents = check::AgentScope::enter();
-        trace_block(block, cfg.block_size, || {
-            let block_base = block * cfg.block_size;
-            let mut offset = 0usize;
-            let mut warp_in_block = 0usize;
-            while offset < cfg.block_size {
-                let lanes = warp_size.min(cfg.block_size - offset);
-                if tracked {
-                    check::set_agent(Some(Agent::warp(block as u32, warp_in_block as u32)));
-                }
-                f(WarpCtx {
-                    warp: block * cfg.block_size.div_ceil(warp_size) + warp_in_block,
-                    block,
-                    base: block_base + offset,
-                    lanes,
-                });
-                offset += lanes;
-                warp_in_block += 1;
-            }
+    launch(device, name, LaunchShape::Warps, cfg, |block, tracked| {
+        let block_base = block * cfg.block_size;
+        let mut offset = 0usize;
+        let mut warp_in_block = 0usize;
+        while offset < cfg.block_size {
+            let lanes = warp_size.min(cfg.block_size - offset);
             if tracked {
-                check::set_agent(None);
-                check::block_end(block as u32, cfg.block_size);
+                check::set_agent(Some(Agent::warp(block as u32, warp_in_block as u32)));
             }
-        });
+            f(WarpCtx {
+                warp: block * cfg.block_size.div_ceil(warp_size) + warp_in_block,
+                block,
+                base: block_base + offset,
+                lanes,
+            });
+            offset += lanes;
+            warp_in_block += 1;
+        }
     });
-    check::launch_end(device, tracked);
 }
 
 #[cfg(test)]
@@ -520,31 +469,47 @@ mod tests {
     }
 
     #[test]
-    fn profiling_sink_sees_every_launch_shape() {
-        // One test body: the prof sink is process-global state.
-        let d = Device::test_small();
-        let collector = std::sync::Arc::new(ecl_prof::Collector::new());
-        ecl_prof::sink::install(std::sync::Arc::clone(&collector));
-        launch_flat_named(&d, "prof-flat", LaunchConfig::new(4, 8), |_| {});
-        launch_blocks_named(&d, "prof-blocks", LaunchConfig::new(3, 8), |_| {});
-        launch_warps_named(&d, "prof-warps", LaunchConfig::new(2, 64), |_| {});
-        launch_flat_named(&d, "prof-flat", LaunchConfig::new(4, 8), |_| {});
-        ecl_prof::sink::uninstall();
-        // Launches after uninstall are not recorded.
-        launch_flat_named(&d, "prof-flat", LaunchConfig::new(4, 8), |_| {});
+    fn observers_see_every_launch_shape_with_its_cost() {
+        use crate::observe::{attach, LaunchObserver};
+        use ecl_profiling::Hook;
+        use std::sync::{Arc, Mutex};
 
-        let stats = collector.snapshot();
-        let by_name =
-            |n: &str| stats.iter().find(|k| k.name == n).unwrap_or_else(|| panic!("missing {n}"));
-        let flat = by_name("prof-flat");
-        assert_eq!(flat.launches, 2);
-        assert_eq!(flat.blocks, 8);
-        assert_eq!(flat.threads, 64);
-        assert_eq!(flat.shape, "flat");
-        assert_eq!(flat.wall_ns.count, 2);
-        assert_eq!(by_name("prof-blocks").shape, "blocks");
-        assert_eq!(by_name("prof-warps").shape, "warps");
-        // Participant accounting covered every block of each launch.
-        assert!(flat.utilization >= 0.0 && flat.utilization <= 1.0);
+        /// Records this test's launches (other tests in this binary
+        /// launch concurrently).
+        struct Rec(Mutex<Vec<LaunchSample>>);
+        impl LaunchObserver for Rec {
+            fn on_launch(&self, sample: &LaunchSample) {
+                if sample.kernel.starts_with("obs-") {
+                    self.0.lock().unwrap().push(sample.clone());
+                }
+            }
+        }
+        static HOOK: Hook<Rec> = Hook::new();
+
+        let d = Device::test_small();
+        let rec = Arc::new(Rec(Mutex::new(Vec::new())));
+        attach(&HOOK, Arc::clone(&rec));
+        launch_flat_named(&d, "obs-flat", LaunchConfig::new(4, 8), |_| {
+            d.charge(CostKind::ThreadWork, 1);
+        });
+        launch_blocks_named(&d, "obs-blocks", LaunchConfig::new(3, 8), |b| b.sync());
+        launch_warps_named(&d, "obs-warps", LaunchConfig::new(2, 64), |_| {});
+        HOOK.uninstall();
+        // Launches after uninstall are not observed.
+        launch_flat_named(&d, "obs-flat", LaunchConfig::new(4, 8), |_| {});
+
+        let samples = rec.0.lock().unwrap();
+        let shapes: Vec<_> = samples.iter().map(|s| (s.kernel.as_str(), s.shape)).collect();
+        assert_eq!(
+            shapes,
+            [("obs-flat", "flat"), ("obs-blocks", "blocks"), ("obs-warps", "warps")]
+        );
+        let flat = &samples[0];
+        assert_eq!((flat.blocks, flat.block_size, flat.threads()), (4, 8, 32));
+        // Participant accounting covered every block of the launch.
+        assert_eq!(flat.workers.iter().map(|w| w.blocks).sum::<u64>(), 4);
+        // The cost window holds the launch charge and the kernel's own.
+        assert_eq!(flat.cost, [32, 0, 0, 0, 1, 0]);
+        assert_eq!(samples[1].cost, [0, 0, 0, 24, 1, 0]);
     }
 }

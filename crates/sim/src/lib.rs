@@ -32,10 +32,11 @@
 pub mod atomics;
 pub mod check;
 pub mod cost;
+pub mod ctx;
 pub mod device;
 pub mod launch;
+pub mod observe;
 pub mod pool;
-pub mod profile;
 pub mod schedule;
 pub mod shard;
 pub mod timing;
@@ -49,8 +50,8 @@ pub use launch::{
     launch_persistent_named, launch_warps, launch_warps_named, BlockCtx, LaunchConfig, ThreadCtx,
     WarpCtx,
 };
-pub use pool::{ticket_range, DispatchMode, DispatchPolicy};
-pub use profile::{KernelProfile, KernelRecord};
+pub use observe::{LaunchObserver, LaunchSample};
+pub use pool::{ticket_range, DispatchMode, DispatchPolicy, WorkerStat};
 pub use schedule::{default_schedule, knob_registry, KnobDomain, KnobSpec, KnobValue, Schedule};
 pub use shard::ShardGuard;
 pub use timing::run_timed;

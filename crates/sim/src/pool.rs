@@ -42,11 +42,10 @@
 //!
 //! - `ECL_SIM_WORKERS=n` — worker count (default: available cores),
 //! - `ECL_SIM_GRAIN=n` — fixed claim grain (default: auto),
-//! - `ECL_SIM_DISPATCH=pool|spawn|seq` — engine selection. `spawn` is
-//!   the legacy spawn-per-launch contiguous-chunk engine, kept as the
-//!   measurable baseline for `bench_launch_overhead`; `seq` forces
+//! - `ECL_SIM_DISPATCH=pool|seq` — engine selection. `seq` forces
 //!   in-order execution on the calling thread (the determinism
-//!   reference).
+//!   reference). Any other value panics on first use: a typo must not
+//!   silently fall back to the nondeterministic pool.
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
@@ -57,13 +56,13 @@ use std::time::Instant;
 
 /// What one dispatch participant (a pool worker or the submitting
 /// thread) did during a single [`dispatch_profiled`] call. This is the
-/// raw material of `ecl-prof`'s per-launch utilization / imbalance /
-/// claim-wait metrics.
+/// raw material of the per-launch utilization / imbalance /
+/// claim-wait metrics of [`crate::LaunchSample`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ParticipantStat {
+pub struct WorkerStat {
     /// Blocks this participant executed.
     pub blocks: u64,
-    /// Ticket ranges it claimed (1 for the chunked/sequential engines).
+    /// Ticket ranges it claimed (1 for the sequential engine).
     pub claims: u64,
     /// Nanoseconds spent executing claimed blocks (claim overhead and
     /// queue scanning excluded).
@@ -75,10 +74,6 @@ pub struct ParticipantStat {
 pub enum DispatchMode {
     /// Persistent worker pool + dynamic ticket claiming (default).
     Pool,
-    /// Legacy engine: spawn fresh scoped threads for this dispatch,
-    /// one contiguous chunk of blocks each. Kept as the measurable
-    /// pre-PR baseline; do not use outside benchmarks.
-    Spawn,
     /// All blocks in index order on the calling thread.
     Sequential,
 }
@@ -107,12 +102,6 @@ impl DispatchPolicy {
     /// `workers` pool workers with automatic grain.
     pub fn pooled(workers: usize) -> Self {
         Self { workers: Some(workers), grain: None, mode: Some(DispatchMode::Pool) }
-    }
-
-    /// The legacy spawn-per-launch contiguous-chunk engine with
-    /// `workers` threads (benchmark baseline).
-    pub fn spawn_baseline(workers: usize) -> Self {
-        Self { workers: Some(workers), grain: None, mode: Some(DispatchMode::Spawn) }
     }
 }
 
@@ -143,18 +132,25 @@ fn env_policy() -> DispatchPolicy {
     static ENV: OnceLock<DispatchPolicy> = OnceLock::new();
     *ENV.get_or_init(|| {
         let parse = |k: &str| std::env::var(k).ok().and_then(|v| v.parse::<usize>().ok());
-        let mode = std::env::var("ECL_SIM_DISPATCH").ok().and_then(|v| match v.as_str() {
-            "pool" => Some(DispatchMode::Pool),
-            "spawn" => Some(DispatchMode::Spawn),
-            "seq" => Some(DispatchMode::Sequential),
-            _ => None,
-        });
+        let mode = std::env::var("ECL_SIM_DISPATCH")
+            .ok()
+            .map(|v| parse_dispatch_mode(&v).unwrap_or_else(|e| panic!("ECL_SIM_DISPATCH: {e}")));
         DispatchPolicy {
             workers: parse("ECL_SIM_WORKERS").filter(|&w| w > 0),
             grain: parse("ECL_SIM_GRAIN").filter(|&g| g > 0),
             mode,
         }
     })
+}
+
+/// Parses an `ECL_SIM_DISPATCH` value. Unknown values are errors
+/// naming the accepted ones.
+pub fn parse_dispatch_mode(value: &str) -> Result<DispatchMode, String> {
+    match value {
+        "pool" => Ok(DispatchMode::Pool),
+        "seq" => Ok(DispatchMode::Sequential),
+        other => Err(format!("unknown dispatch mode {other:?}; expected pool|seq")),
+    }
 }
 
 fn default_workers() -> usize {
@@ -208,22 +204,18 @@ where
 
 /// [`dispatch`] with per-participant execution stats: every thread
 /// that executed at least one block contributes one
-/// [`ParticipantStat`] (in completion order). Used by the launch layer
-/// when `ecl-prof`'s sink is installed; costs one `Instant` pair per
+/// [`WorkerStat`] (in completion order). Used by the launch layer
+/// when a launch observer wants the launch; costs one `Instant` pair per
 /// ticket claim plus one short mutex per claim, none of which is paid
 /// by the unprofiled [`dispatch`] path.
-pub fn dispatch_profiled<F>(n: usize, f: F) -> Vec<ParticipantStat>
+pub fn dispatch_profiled<F>(n: usize, f: F) -> Vec<WorkerStat>
 where
     F: Fn(usize) + Sync,
 {
     dispatch_inner(n, &f, true).unwrap_or_default()
 }
 
-fn dispatch_inner(
-    n: usize,
-    f: &(dyn Fn(usize) + Sync),
-    profiled: bool,
-) -> Option<Vec<ParticipantStat>> {
+fn dispatch_inner(n: usize, f: &(dyn Fn(usize) + Sync), profiled: bool) -> Option<Vec<WorkerStat>> {
     if n == 0 {
         return profiled.then(Vec::new);
     }
@@ -235,7 +227,7 @@ fn dispatch_inner(
             f(i);
         }
         return started.map(|t0| {
-            vec![ParticipantStat {
+            vec![WorkerStat {
                 blocks: n as u64,
                 claims: 1,
                 busy_ns: t0.elapsed().as_nanos() as u64,
@@ -243,11 +235,7 @@ fn dispatch_inner(
         });
     }
     let grain = grain.unwrap_or_else(|| auto_grain(n, workers)).max(1);
-    match mode {
-        DispatchMode::Pool => pooled_dispatch(n, workers, grain, f, profiled),
-        DispatchMode::Spawn => spawn_chunked(n, workers, f, profiled),
-        DispatchMode::Sequential => unreachable!("handled above"),
-    }
+    pooled_dispatch(n, workers, grain, f, profiled)
 }
 
 /// Number of pool workers spawned so far (0 until the first parallel
@@ -276,7 +264,7 @@ struct Job {
     remaining: AtomicUsize,
     n: usize,
     grain: usize,
-    /// Request context of the submitting thread (`ecl-obs`
+    /// Request context of the submitting thread ([`crate::ctx`]
     /// correlation; 0 = none). Workers re-enter it around their claims
     /// so per-thread trace streams stay attributable even when workers
     /// interleave claims from several concurrent jobs.
@@ -290,7 +278,7 @@ struct Job {
     /// claim's contribution is merged in *before* that claim's
     /// `remaining` decrement, so by the time the job retires (and the
     /// submitter wakes) every executed block is accounted for.
-    stats: Option<Mutex<Vec<ParticipantStat>>>,
+    stats: Option<Mutex<Vec<WorkerStat>>>,
     done: Mutex<bool>,
     done_cv: Condvar,
 }
@@ -340,7 +328,7 @@ impl PoolShared {
         // this job's claims (restored on return and on panic unwind).
         // On the submitting thread this re-enters the same id — a
         // cheap no-op with no trace marker.
-        let _ctx = (job.ctx != 0).then(|| ecl_obs::ctx::CtxGuard::enter(job.ctx));
+        let _ctx = (job.ctx != 0).then(|| crate::ctx::CtxGuard::enter(job.ctx));
         // Index of this thread's entry in `job.stats`, claimed lazily
         // on its first executed ticket range.
         let mut stat_slot: Option<usize> = None;
@@ -352,9 +340,8 @@ impl PoolShared {
             let started = job.stats.as_ref().map(|_| Instant::now());
             for i in start..end {
                 // Panics must not kill the pooled worker: record the
-                // payload for the submitter and keep draining (the
-                // legacy engine also ran all blocks before failing the
-                // launch). Drop guards inside `f` (the launch shapes'
+                // payload for the submitter and keep draining, so every
+                // block runs before the launch fails. Drop guards inside `f` (the launch shapes'
                 // agent scope) run during this unwind, so no
                 // per-thread checker state leaks past the block.
                 if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (job.func)(i))) {
@@ -370,7 +357,7 @@ impl PoolShared {
                 let busy = t0.elapsed().as_nanos() as u64;
                 let mut stats = stats.lock().unwrap_or_else(|e| e.into_inner());
                 let idx = *stat_slot.get_or_insert_with(|| {
-                    stats.push(ParticipantStat::default());
+                    stats.push(WorkerStat::default());
                     stats.len() - 1
                 });
                 stats[idx].blocks += finished as u64;
@@ -417,7 +404,7 @@ fn pooled_dispatch(
     grain: usize,
     f: &(dyn Fn(usize) + Sync),
     profiled: bool,
-) -> Option<Vec<ParticipantStat>> {
+) -> Option<Vec<WorkerStat>> {
     let p = pool();
     p.ensure_workers(workers - 1);
     // SAFETY: the only thing this transmute changes is the reference
@@ -436,7 +423,7 @@ fn pooled_dispatch(
         remaining: AtomicUsize::new(n),
         n,
         grain,
-        ctx: ecl_obs::ctx::current(),
+        ctx: crate::ctx::current(),
         func,
         panic: Mutex::new(None),
         stats: profiled.then(|| Mutex::new(Vec::new())),
@@ -463,48 +450,6 @@ fn pooled_dispatch(
     job.stats.as_ref().map(|s| std::mem::take(&mut *s.lock().unwrap_or_else(|e| e.into_inner())))
 }
 
-/// The legacy engine: one contiguous chunk per worker, fresh scoped
-/// threads per call. This is the load-imbalance + launch-churn
-/// baseline the pool replaces; `bench_launch_overhead` measures the
-/// difference.
-fn spawn_chunked(
-    n: usize,
-    workers: usize,
-    f: &(dyn Fn(usize) + Sync),
-    profiled: bool,
-) -> Option<Vec<ParticipantStat>> {
-    let chunk = n.div_ceil(workers);
-    let stats = profiled.then(|| Mutex::new(Vec::new()));
-    let ctx = ecl_obs::ctx::current();
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| (w * chunk, ((w + 1) * chunk).min(n)))
-            .take_while(|&(lo, hi)| lo < hi)
-            .map(|(lo, hi)| {
-                let stats = stats.as_ref();
-                s.spawn(move || {
-                    let _ctx = (ctx != 0).then(|| ecl_obs::ctx::CtxGuard::enter(ctx));
-                    let started = stats.map(|_| Instant::now());
-                    for i in lo..hi {
-                        f(i);
-                    }
-                    if let (Some(stats), Some(t0)) = (stats, started) {
-                        stats.lock().unwrap_or_else(|e| e.into_inner()).push(ParticipantStat {
-                            blocks: (hi - lo) as u64,
-                            claims: 1,
-                            busy_ns: t0.elapsed().as_nanos() as u64,
-                        });
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().expect("parallel worker panicked");
-        }
-    });
-    stats.map(Mutex::into_inner).map(|r| r.unwrap_or_else(|e| e.into_inner()))
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -528,7 +473,6 @@ mod tests {
         for n in [0, 1, 2, 7, 64, 257] {
             covers_exactly(n, DispatchPolicy::sequential());
             covers_exactly(n, DispatchPolicy::pooled(4));
-            covers_exactly(n, DispatchPolicy::spawn_baseline(4));
             covers_exactly(n, DispatchPolicy { grain: Some(3), ..DispatchPolicy::pooled(8) });
         }
     }
@@ -550,7 +494,6 @@ mod tests {
             total(DispatchPolicy { grain: Some(1), ..DispatchPolicy::pooled(3) }),
             reference
         );
-        assert_eq!(total(DispatchPolicy::spawn_baseline(4)), reference);
     }
 
     #[test]
@@ -597,7 +540,6 @@ mod tests {
         for policy in [
             DispatchPolicy::sequential(),
             DispatchPolicy::pooled(4),
-            DispatchPolicy::spawn_baseline(4),
             DispatchPolicy { grain: Some(3), ..DispatchPolicy::pooled(8) },
         ] {
             let hits: Vec<AtomicUsize> = (0..257).map(|_| AtomicUsize::new(0)).collect();
@@ -626,6 +568,16 @@ mod tests {
         });
         assert_eq!(stats.len(), 1);
         assert!(stats[0].busy_ns >= 4_000_000, "slept ~8ms, got {}ns", stats[0].busy_ns);
+    }
+
+    #[test]
+    fn dispatch_mode_parse_rejects_unknown_values() {
+        assert_eq!(parse_dispatch_mode("pool"), Ok(DispatchMode::Pool));
+        assert_eq!(parse_dispatch_mode("seq"), Ok(DispatchMode::Sequential));
+        for bad in ["spawn", "sequential", ""] {
+            let err = parse_dispatch_mode(bad).unwrap_err();
+            assert!(err.contains("pool|seq"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!   are reproducible end to end, but marked [`KnobSpec::cost_neutral`]
 //!   so a modeled-cost search does not waste evaluations sweeping them.
 
-use crate::pool::{DispatchMode, DispatchPolicy};
-use ecl_prof::json::{self, Value};
+use crate::pool::{parse_dispatch_mode, DispatchPolicy};
+use ecl_profiling::json::{self, Value};
 
 /// One knob's value. Integers and floats are kept distinct so
 /// serialization is exact, but the typed accessors coerce (an `Int` is
@@ -147,7 +147,7 @@ pub const INHERIT: i64 = 0;
 const DISPATCH_KNOBS: [KnobSpec; 3] = [
     KnobSpec {
         name: "dispatch",
-        domain: KnobDomain::Choice(&["pool", "spawn", "seq"]),
+        domain: KnobDomain::Choice(&["pool", "seq"]),
         default_ix: 0,
         cost_neutral: true,
     },
@@ -329,12 +329,7 @@ impl Schedule {
     /// selects the engine, `workers`/`grain` force counts
     /// ([`INHERIT`]/absent fields fall through to the environment).
     pub fn dispatch_policy(&self) -> DispatchPolicy {
-        let mode = match self.str_knob("dispatch") {
-            Some("spawn") => Some(DispatchMode::Spawn),
-            Some("seq") => Some(DispatchMode::Sequential),
-            Some("pool") => Some(DispatchMode::Pool),
-            _ => None,
-        };
+        let mode = self.str_knob("dispatch").and_then(|v| parse_dispatch_mode(v).ok());
         let positive = |v: Option<i64>| v.filter(|&x| x > 0).map(|x| x as usize);
         DispatchPolicy {
             workers: positive(self.int_knob("workers")),
@@ -489,7 +484,7 @@ mod tests {
             .with("workers", KnobValue::Int(4))
             .with("grain", KnobValue::Int(INHERIT));
         let p = s.dispatch_policy();
-        assert_eq!(p.mode, Some(DispatchMode::Sequential));
+        assert_eq!(p.mode, Some(crate::pool::DispatchMode::Sequential));
         assert_eq!(p.workers, Some(4));
         assert_eq!(p.grain, None, "INHERIT means no forced grain");
         // An empty schedule forces nothing.
@@ -510,7 +505,8 @@ mod tests {
     #[test]
     fn unknown_string_value_is_rejected() {
         assert!(Schedule::from_json("{\"dispatch\": \"gpu\"}").is_err());
-        assert!(Schedule::from_json("{\"dispatch\": \"spawn\"}").is_ok());
+        assert!(Schedule::from_json("{\"dispatch\": \"spawn\"}").is_err());
+        assert!(Schedule::from_json("{\"dispatch\": \"seq\"}").is_ok());
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! `ecl-shard` models one GPU per shard: every shard gets its own
 //! [`crate::Device`] and issues kernel launches through the ordinary
 //! launch primitives. Those primitives attach the ambient shard id to
-//! every profile sample ([`ecl_prof::LaunchSample::shard`]), so the
+//! every launch sample ([`crate::LaunchSample::shard`]), so the
 //! profiling, observability, and tracing layers distinguish per-shard
 //! series without any shard-specific plumbing in kernel code.
 //!
-//! The mechanism mirrors `ecl-obs`'s request context: a thread-local
+//! The mechanism mirrors the request context ([`crate::ctx`]): a thread-local
 //! cell read with one load ([`current`]), an RAII guard
 //! ([`ShardGuard::enter`]) that restores the previous value on drop
 //! (including panic unwinds), and a trace marker

@@ -70,7 +70,7 @@ fn exercise(policy: DispatchPolicy) {
             tracked_launches: AtomicU64::new(0),
             accesses: Mutex::new(Vec::new()),
         });
-        check::install(rec.clone());
+        check::SINK.install(rec.clone());
 
         // Tracked launch 1 unwinds after per-lane agents were
         // installed. Before the pool, the worker threads died here and
@@ -117,7 +117,7 @@ fn exercise(policy: DispatchPolicy) {
             assert!(agent.lane < 2, "cross-launch agent attribution: {agent}");
         }
         drop(accesses);
-        check::uninstall();
+        check::SINK.uninstall();
     });
 }
 

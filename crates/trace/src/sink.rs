@@ -2,126 +2,66 @@
 //! the simulator and algorithm crates emit events without threading a
 //! tracer handle through every signature.
 //!
-//! Hot path (`emit`, `is_enabled`): one relaxed `AtomicBool` load —
-//! when tracing is off the compiler sees a never-taken branch and the
-//! cost is indistinguishable from noise (the overhead benchmark and
-//! `crates/bench/tests/trace_overhead.rs` hold this to account). When
-//! on,
-//! one `AtomicPtr` load then a lock-free ring write.
-//!
-//! Safety model: the sink publishes a raw pointer to an `Arc<Tracer>`
-//! it owns. Installing a new tracer (or uninstalling) retires the old
-//! `Arc` into a never-freed list instead of dropping it, so a pointer
-//! loaded by a racing `emit` can never dangle. A session installs a
-//! handful of tracers at most, so the intentional leak is bounded and
-//! tiny — the classic trade of reclamation complexity for wait-free
-//! reads.
+//! The tracer lives in an [`ecl_profiling::Hook`]: when tracing is off
+//! every emission site costs one relaxed load and a never-taken
+//! branch (the overhead benchmark and
+//! `crates/bench/tests/trace_overhead.rs` hold this to account); when
+//! on, one pointer load then a lock-free ring write.
 
-use std::sync::atomic::{AtomicBool, AtomicPtr, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use ecl_profiling::Hook;
 
 use crate::event::EventKind;
 use crate::ring::Tracer;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static PTR: AtomicPtr<Tracer> = AtomicPtr::new(std::ptr::null_mut());
-static CURRENT: Mutex<SinkState> = Mutex::new(SinkState { current: None, retired: Vec::new() });
-
-struct SinkState {
-    current: Option<Arc<Tracer>>,
-    /// Arcs kept alive forever so racing `emit`s never dereference a
-    /// freed tracer. Bounded by the number of `install` calls.
-    retired: Vec<Arc<Tracer>>,
-}
-
-fn state() -> std::sync::MutexGuard<'static, SinkState> {
-    CURRENT.lock().unwrap_or_else(|e| e.into_inner())
-}
+static SINK: Hook<Tracer> = Hook::new();
 
 /// Installs `tracer` as the global sink and enables emission.
 /// A previously installed tracer keeps its recorded events (fetch it
 /// with [`current`] before replacing it) but stops receiving new ones.
 pub fn install(tracer: Arc<Tracer>) {
-    let mut st = state();
-    ENABLED.store(false, Ordering::SeqCst);
-    if let Some(old) = st.current.take() {
-        st.retired.push(old);
-    }
-    PTR.store(Arc::as_ptr(&tracer) as *mut Tracer, Ordering::SeqCst);
-    st.current = Some(tracer);
-    ENABLED.store(true, Ordering::SeqCst);
+    SINK.install(tracer);
 }
 
 /// Stops emission and detaches the tracer, returning it so the caller
-/// can snapshot. The tracer's storage stays alive (retired) in case
-/// another thread is mid-`emit`.
+/// can snapshot.
 pub fn uninstall() -> Option<Arc<Tracer>> {
-    let mut st = state();
-    ENABLED.store(false, Ordering::SeqCst);
-    PTR.store(std::ptr::null_mut(), Ordering::SeqCst);
-    let tracer = st.current.take()?;
-    st.retired.push(Arc::clone(&tracer));
-    Some(tracer)
-}
-
-/// Pauses emission without detaching the tracer.
-pub fn disable() {
-    ENABLED.store(false, Ordering::SeqCst);
-}
-
-/// Resumes emission into the installed tracer, if any.
-pub fn enable() {
-    let st = state();
-    if st.current.is_some() {
-        ENABLED.store(true, Ordering::SeqCst);
-    }
+    SINK.uninstall()
 }
 
 /// Whether `emit` currently records. The hot-path guard: a single
 /// relaxed load.
 #[inline(always)]
 pub fn is_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    SINK.is_enabled()
 }
 
 /// The installed tracer, if any.
 pub fn current() -> Option<Arc<Tracer>> {
-    state().current.clone()
-}
-
-#[inline(always)]
-fn with_tracer(f: impl FnOnce(&Tracer)) {
-    if !is_enabled() {
-        return;
-    }
-    let ptr = PTR.load(Ordering::Acquire);
-    if !ptr.is_null() {
-        // SAFETY: `ptr` came from an Arc that install/uninstall retire
-        // instead of dropping, so the Tracer outlives every reader.
-        f(unsafe { &*ptr });
-    }
+    SINK.current()
 }
 
 /// Records one event into the installed tracer; a single branch when
 /// tracing is disabled.
 #[inline(always)]
 pub fn emit(kind: EventKind, block: u32, lane: u16, payload: u32) {
-    with_tracer(|t| t.record(kind, block, lane, payload));
+    SINK.with(|t| t.record(kind, block, lane, payload));
 }
 
 /// Records a named phase start (interns on the cold path).
 pub fn phase_start(name: &str) {
-    with_tracer(|t| t.phase_start(name));
+    SINK.with(|t| t.phase_start(name));
 }
 
 /// Records a named phase end.
 pub fn phase_end(name: &str) {
-    with_tracer(|t| t.phase_end(name));
+    SINK.with(|t| t.phase_end(name));
 }
 
 /// Records a round boundary.
 pub fn round(n: u32) {
-    with_tracer(|t| t.round(n));
+    SINK.with(|t| t.round(n));
 }
 
 /// Runs `f` between `phase_start(name)` and `phase_end(name)`.
@@ -156,14 +96,9 @@ mod tests {
         phase_span("p", || emit(EventKind::AtomicUpdated, 1, 0, 0));
         round(3);
 
-        disable();
-        emit(EventKind::Marker, 0, 0, 99); // paused: dropped silently
-        enable();
         emit(EventKind::Marker, 0, 0, 4);
 
         let back = uninstall().expect("tracer was installed");
-        assert!(!is_enabled());
-        assert!(Arc::ptr_eq(&back, &t));
         emit(EventKind::Marker, 0, 0, 100); // detached: no-op
 
         let s = back.snapshot();
@@ -176,13 +111,5 @@ mod tests {
         assert_eq!(payloads, vec![2, 4]);
         assert_eq!(s.of_kind(EventKind::PhaseStart).count(), 1);
         assert_eq!(s.of_kind(EventKind::Round).next().unwrap().payload, 3);
-
-        // Re-install after uninstall works, and enable() without a
-        // tracer stays off.
-        enable();
-        assert!(!is_enabled());
-        install(Arc::clone(&t));
-        assert!(is_enabled());
-        uninstall();
     }
 }

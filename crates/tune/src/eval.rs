@@ -200,11 +200,11 @@ mod tests {
         let seq = default_schedule("cc")
             .with("dispatch", KnobValue::Str("seq"))
             .with("workers", KnobValue::Int(1));
-        let spawn = default_schedule("cc")
-            .with("dispatch", KnobValue::Str("spawn"))
+        let pool = default_schedule("cc")
+            .with("dispatch", KnobValue::Str("pool"))
             .with("workers", KnobValue::Int(2))
             .with("grain", KnobValue::Int(4));
-        for alt in [seq, spawn] {
+        for alt in [seq, pool] {
             let r = evaluate("cc", &input, &alt).unwrap();
             assert_eq!(r.modeled_time.to_bits(), base.modeled_time.to_bits());
             assert_eq!(r.result_sig, base.result_sig);
